@@ -4,8 +4,9 @@ A :class:`Predicate` wraps a unary object-language function over the concrete
 type ``tau_c`` returning ``bool`` - exactly the shape of a representation
 invariant ``I : tau_c -> bool``.  Predicates know how to
 
-* evaluate themselves on concrete values (with memoization, since the Hanoi
-  loop evaluates the same candidate on the same values many times),
+* evaluate themselves on concrete values (the evaluator's application memo
+  answers the repeats, since the Hanoi loop evaluates the same candidate on
+  the same values many times),
 * report their AST size (the ``Size`` column of Figure 7),
 * render themselves the way the paper prints invariants.
 
@@ -16,7 +17,7 @@ invariants in the benchmark suite and the tests).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..lang.ast import ECtor, Expr, FunDecl, expr_size
 from ..lang.errors import LangError
@@ -41,7 +42,6 @@ class Predicate:
             raise ValueError("a representation invariant takes exactly one argument")
         self.decl = decl
         self.program = program
-        self._cache: Dict[Value, bool] = {}
         param_name, param_type = decl.params[0]
         body: Expr = decl.body
         self._closure = VClosure(
@@ -97,15 +97,11 @@ class Predicate:
         construction, so this only matters for adversarial hand-written
         predicates.
         """
-        if value in self._cache:
-            return self._cache[value]
         try:
             budget = EvalBudget(self.program.evaluator.default_fuel)
-            result = bool_of_value(self.program.evaluator.apply(self._closure, value, budget=budget))
+            return bool_of_value(self.program.evaluator.apply(self._closure, value, budget=budget))
         except (LangError, ValueError):
-            result = False
-        self._cache[value] = result
-        return result
+            return False
 
     def accepts_all(self, values) -> bool:
         return all(self(v) for v in values)

@@ -9,13 +9,24 @@ recursive, but the budget also protects against pathological inputs).
 Native function values (:class:`~repro.lang.values.VNative`) are applied by
 calling their Python callable; this is how the synthesizer's example oracle
 and the higher-order contract wrappers participate in evaluation.
+
+Closure applications are pure when the argument, every captured value and
+the result are first-order: the body then sees nothing but those values and
+the globals.  The evaluator memoizes such applications (the verifier re-runs
+``insert s x`` for every ``y``, and the same Peano comparisons throughout a
+check).  A hit charges the budget the step count the application took when
+it was recorded, so fuel runs out at exactly the application where it would
+have without the memo.  Only successful results are stored, natives never
+appear in a key (so contract wrappers still log every crossing and the
+synthesizer's oracle is still consulted), the table holds at most
+:data:`MEMO_CAPACITY` entries, and binding a global clears it.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .ast import (
     ECtor,
@@ -34,11 +45,14 @@ from .ast import (
     Pattern,
 )
 from .errors import EvalError, FuelExhausted, MatchFailure
-from .values import Value, VClosure, VCtor, VNative, VTuple
+from .values import Value, VClosure, VCtor, VNative, VTuple, is_first_order
 
-__all__ = ["Evaluator", "EvalBudget", "DEFAULT_FUEL"]
+__all__ = ["Evaluator", "EvalBudget", "DEFAULT_FUEL", "MEMO_CAPACITY"]
 
 DEFAULT_FUEL = 500_000
+
+#: Entries the application memo holds before it is cleared; 0 disables it.
+MEMO_CAPACITY = 2_000
 
 # The interpreter recurses on expression and data depth; benchmark values are
 # small, but deep Peano naturals in stress tests need head-room.
@@ -64,6 +78,16 @@ class Evaluator:
     def __init__(self, globals_: Optional[Dict[str, Value]] = None, fuel: int = DEFAULT_FUEL):
         self.globals: Dict[str, Value] = globals_ if globals_ is not None else {}
         self.default_fuel = fuel
+        #: (id(body), param, rec_name, env items, argument) -> (result, steps,
+        #: body).  The entry holds the body so its id cannot be reused by a
+        #: new expression while the entry exists.
+        self._memo: Dict[tuple, Tuple[Value, int, Expr]] = {}
+
+    def bind(self, name: str, value: Value) -> None:
+        """Bind a global.  Memoized results may depend on the old binding,
+        so the memo is cleared."""
+        self.globals[name] = value
+        self._memo.clear()
 
     # -- public API -----------------------------------------------------------
 
@@ -137,11 +161,33 @@ class Evaluator:
     def _apply(self, fn: Value, arg: Value, budget: EvalBudget) -> Value:
         budget.spend()
         if isinstance(fn, VClosure):
+            key = None
+            # A body that is itself a function only builds a closure: skip it.
+            if MEMO_CAPACITY > 0 and not isinstance(fn.body, EFun) and is_first_order(arg):
+                captured = tuple(fn.env.items())
+                if all(is_first_order(value) for _, value in captured):
+                    key = (id(fn.body), fn.param, fn.rec_name, captured, arg)
+                    entry = self._memo.get(key)
+                    if entry is not None:
+                        steps = entry[1]
+                        if steps <= budget.remaining:
+                            budget.remaining -= steps
+                            return entry[0]
+                        # Run out exactly as the step-by-step evaluation does:
+                        # one step past the budget.
+                        budget.spend(max(budget.remaining, 0) + 1)
             env = dict(fn.env)
             env[fn.param] = arg
             if fn.rec_name is not None:
                 env[fn.rec_name] = fn
-            return self._eval(fn.body, env, budget)
+            before = budget.remaining
+            result = self._eval(fn.body, env, budget)
+            if key is not None and is_first_order(result):
+                memo = self._memo
+                if len(memo) >= MEMO_CAPACITY:
+                    memo.clear()
+                memo[key] = (result, before - budget.remaining, fn.body)
+            return result
         if isinstance(fn, VNative):
             return fn.fn(arg)
         raise EvalError(f"application of non-function value {fn}")

@@ -71,14 +71,14 @@ class Program:
         for decl in decls:
             self.declarations.append(decl)
             if isinstance(decl, FunDecl):
-                self.evaluator.globals[decl.name] = self._compile_fun(decl)
+                self.evaluator.bind(decl.name, self._compile_fun(decl))
 
     def define_function(self, decl: FunDecl) -> Value:
         """Type check and install a programmatically-built function declaration."""
         self._checker.check_declarations([decl])
         self.declarations.append(decl)
         value = self._compile_fun(decl)
-        self.evaluator.globals[decl.name] = value
+        self.evaluator.bind(decl.name, value)
         return value
 
     def _compile_fun(self, decl: FunDecl) -> Value:

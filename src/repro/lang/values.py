@@ -42,11 +42,20 @@ __all__ = [
 ]
 
 
+#: Per-object caches of first-order values (see :class:`VCtor`).
+_CACHED = ("_hash", "_first_order")
+
+
 class Value:
     """Base class for runtime values."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return str(self)
+
+    def __getstate__(self):
+        # The cached hash depends on the process's string hash seed, so the
+        # caches never travel in a pickle.
+        return {k: v for k, v in self.__dict__.items() if k not in _CACHED}
 
 
 @dataclass(frozen=True)
@@ -55,6 +64,15 @@ class VCtor(Value):
 
     ctor: str
     payload: Optional[Value] = None
+
+    def __hash__(self) -> int:
+        # Values are immutable and hashed over and over (the evaluator's memo
+        # keys, the example sets), so the dataclass hash is computed once.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.ctor, self.payload))
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     def __str__(self) -> str:
         rendered = _render_sugar(self)
@@ -70,6 +88,13 @@ class VTuple(Value):
     """A tuple value."""
 
     items: Tuple[Value, ...]
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.items,))
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self.items) + ")"
@@ -148,12 +173,17 @@ def value_order(value: Value):
 
 
 def is_first_order(value: Value) -> bool:
-    """True when the value contains no function values."""
-    if isinstance(value, VCtor):
-        return value.payload is None or is_first_order(value.payload)
-    if isinstance(value, VTuple):
-        return all(is_first_order(v) for v in value.items)
-    return False
+    """True when the value contains no function values (cached per value)."""
+    if not isinstance(value, (VCtor, VTuple)):
+        return False
+    cached = value.__dict__.get("_first_order")
+    if cached is None:
+        if isinstance(value, VCtor):
+            cached = value.payload is None or is_first_order(value.payload)
+        else:
+            cached = all(is_first_order(v) for v in value.items)
+        object.__setattr__(value, "_first_order", cached)
+    return cached
 
 
 # ---------------------------------------------------------------------------

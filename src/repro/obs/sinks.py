@@ -29,6 +29,7 @@ picks them up.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import threading
@@ -258,7 +259,9 @@ class LiveRenderer:
             return
         if kind == "span-start" and name in self.RENDERED_SPANS:
             now = time.monotonic()
-            if now - self._last_line_at.get(label, 0.0) < self.min_interval:
+            # A label that never printed compares as minus infinity: the
+            # monotonic clock's origin is arbitrary (boot time on Linux).
+            if now - self._last_line_at.get(label, -math.inf) < self.min_interval:
                 return
             self._last_line_at[label] = now
             data = record.get("data") or {}

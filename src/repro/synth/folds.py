@@ -81,5 +81,6 @@ class FoldSynthesizer(MythSynthesizer):
         # Install into the program so synthesized invariants mentioning the
         # derived functions can be evaluated and rendered later.
         for name, (_, fn) in derived.items():
-            instance.program.evaluator.globals.setdefault(name, fn)
+            if not instance.program.has_global(name):
+                instance.program.evaluator.bind(name, fn)
         return derived

@@ -106,3 +106,113 @@ def test_budget_is_shared_across_nested_calls():
     budget.spend(2)
     with pytest.raises(FuelExhausted):
         budget.spend(1)
+
+
+# -- application memo -----------------------------------------------------------
+
+MEMO_SOURCE = """
+type list = Nil | Cons of nat * list
+
+let rec insert (l : list) (x : nat) : list =
+  match l with
+  | Nil -> Cons (x, Nil)
+  | Cons (hd, tl) ->
+    (match nat_leq x hd with
+     | True -> Cons (x, l)
+     | False -> Cons (hd, insert tl x))
+
+let twice (f : nat -> nat) (x : nat) : nat = f (f x)
+"""
+
+INSERT_ARGS = (v_list([nat_of_int(i) for i in (1, 3, 5, 7)]), nat_of_int(6))
+
+
+def _insert_steps(program, fuel=100_000):
+    """Steps ``insert`` takes on :data:`INSERT_ARGS` (filling the memo)."""
+    budget = EvalBudget(fuel)
+    program.evaluator.apply(program.global_value("insert"), *INSERT_ARGS, budget=budget)
+    return fuel - budget.remaining
+
+
+def test_memo_hit_returns_same_value_and_budget():
+    program = Program.from_source(MEMO_SOURCE)
+    insert = program.global_value("insert")
+    first, second = EvalBudget(10_000), EvalBudget(10_000)
+    result = program.evaluator.apply(insert, *INSERT_ARGS, budget=first)
+    assert program.evaluator._memo
+    assert program.evaluator.apply(insert, *INSERT_ARGS, budget=second) == result
+    assert second.remaining == first.remaining
+
+
+def test_memo_charges_the_unmemoized_step_count(monkeypatch):
+    import repro.lang.eval as lang_eval
+
+    program = Program.from_source(MEMO_SOURCE)
+    steps = _insert_steps(program)
+    assert _insert_steps(program) == steps
+    monkeypatch.setattr(lang_eval, "MEMO_CAPACITY", 0)
+    unmemoized = Program.from_source(MEMO_SOURCE)
+    assert _insert_steps(unmemoized) == steps
+    assert not unmemoized.evaluator._memo
+
+
+def test_memo_hit_one_step_short_exhausts_fuel_like_a_miss():
+    steps = _insert_steps(Program.from_source(MEMO_SOURCE))
+    program = Program.from_source(MEMO_SOURCE)
+    insert = program.global_value("insert")
+    short = EvalBudget(steps - 1)
+    with pytest.raises(FuelExhausted):
+        program.evaluator.apply(insert, *INSERT_ARGS, budget=short)
+    assert short.remaining == -1
+    # The exhausted run recorded no outermost entry; a successful one does.
+    assert _insert_steps(program) == steps
+    for fuel in (steps - 1, steps // 2):
+        short = EvalBudget(fuel)
+        with pytest.raises(FuelExhausted):
+            program.evaluator.apply(insert, *INSERT_ARGS, budget=short)
+        # Spent one step past the budget, as the step-by-step miss does.
+        assert short.remaining == -1
+    exact = EvalBudget(steps)
+    program.evaluator.apply(insert, *INSERT_ARGS, budget=exact)
+    assert exact.remaining == 0
+
+
+def test_memo_keeps_contract_crossings_logged_on_every_call():
+    from repro.contracts.higherorder import ContractLog, wrap_function
+    from repro.lang.types import TAbstract, TArrow
+
+    program = Program.from_source(MEMO_SOURCE)
+    log = ContractLog()
+    succ = wrap_function(program.global_value("succ"), TArrow(TAbstract(), TAbstract()),
+                         program, log)
+    for calls in (1, 2, 3):
+        assert int_of_nat(program.call("twice", succ, nat_of_int(3))) == 5
+        assert len(log.module_to_client) == len(log.client_to_module) == 2 * calls
+
+
+def test_memo_is_invalidated_when_extend_rebinds_a_global():
+    program = Program.from_source("""
+let offset (x : nat) : nat = O
+let shifted (x : nat) : nat = plus x (offset x)
+""")
+    assert int_of_nat(program.call("shifted", nat_of_int(2))) == 2
+    program.extend("let offset (x : nat) : nat = S x")
+    assert int_of_nat(program.call("shifted", nat_of_int(2))) == 5
+
+
+def test_collected_predicate_cannot_answer_for_a_new_body():
+    import gc
+
+    from repro.core.predicate import Predicate
+
+    program = Program.from_source(MEMO_SOURCE)
+    value = nat_of_int(2)
+    for _ in range(50):
+        accepting = Predicate.from_source("let inv (x : nat) : bool = True", program)
+        assert accepting(value)
+        del accepting
+        gc.collect()
+        rejecting = Predicate.from_source("let inv (x : nat) : bool = False", program)
+        assert not rejecting(value)
+        del rejecting
+        gc.collect()

@@ -67,6 +67,19 @@ def test_is_first_order():
     assert not is_first_order(VTuple((nat_of_int(1), closure)))
 
 
+def test_cached_hash_matches_the_dataclass_hash_and_is_not_pickled():
+    import pickle
+
+    value = VTuple((v_list([nat_of_int(2), nat_of_int(1)]), VCtor("Nil")))
+    fresh = pickle.dumps(value, protocol=4)
+    assert hash(value) == hash(((value.items[0], VCtor("Nil")),))
+    assert hash(value.items[1]) == hash(("Nil", None))
+    assert is_first_order(value)
+    # The caches are per process: a pickle is the same bytes as before them.
+    assert pickle.dumps(value, protocol=4) == fresh
+    assert pickle.loads(fresh) == value
+
+
 def test_value_rendering_uses_sugar():
     assert str(nat_of_int(3)) == "3"
     assert str(v_list([nat_of_int(1), nat_of_int(2)])) == "[1; 2]"
