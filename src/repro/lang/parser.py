@@ -36,6 +36,7 @@ Notes
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .ast import (
@@ -343,8 +344,18 @@ def _nat_literal(n: int) -> Expr:
 
 
 def parse_program(source: str) -> List[object]:
-    """Parse a complete program source into a list of declarations."""
-    return Parser(tokenize(source)).parse_program()
+    """Parse a complete program source into a list of declarations.
+
+    Declarations are immutable, so a source parsed recently (the prelude
+    of every program, a module loaded again for analysis or a rerun) is
+    not parsed again.
+    """
+    return list(_parse_program(source))
+
+
+@lru_cache(maxsize=4)
+def _parse_program(source: str) -> Tuple[object, ...]:
+    return tuple(Parser(tokenize(source)).parse_program())
 
 
 def parse_expression(source: str) -> Expr:

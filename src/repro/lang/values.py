@@ -68,9 +68,15 @@ class VCtor(Value):
     def __hash__(self) -> int:
         # Values are immutable and hashed over and over (the evaluator's memo
         # keys, the example sets), so the dataclass hash is computed once.
+        # A missing payload is left out of the hash: before Python 3.12,
+        # hash(None) is the address of None, which differs from process to
+        # process even under a fixed PYTHONHASHSEED.
         cached = self.__dict__.get("_hash")
         if cached is None:
-            cached = hash((self.ctor, self.payload))
+            if self.payload is None:
+                cached = hash((self.ctor,))
+            else:
+                cached = hash((self.ctor, self.payload))
             object.__setattr__(self, "_hash", cached)
         return cached
 

@@ -209,6 +209,8 @@ class PersistentCacheBinding:
         self._fallback = canonical_hash(definition)
         self._bounds = repr(astuple(config.verifier_bounds))
         self._fuel = str(config.eval_fuel)
+        #: (section, key) -> the payload :meth:`restore` read for it.
+        self._restored: Dict[Tuple[str, str], object] = {}
 
     # -- keys ---------------------------------------------------------------
 
@@ -262,10 +264,12 @@ class PersistentCacheBinding:
                 stats: InferenceStats) -> None:
         """Warm the in-memory caches from disk, counting section hits/misses."""
         if eval_cache is not None:
-            payload = self.store.get("spec", self.spec_key())
+            key = self.spec_key()
+            payload = self.store.get("spec", key)
             if isinstance(payload, dict) and "entries" in payload:
                 eval_cache.spec.restore_entries(payload["entries"],
                                                 payload.get("exhausted", False))
+                self._restored[("spec", key)] = payload
                 stats.disk_cache_hits += 1
             else:
                 stats.disk_cache_misses += 1
@@ -273,6 +277,7 @@ class PersistentCacheBinding:
                 records = self.store.get("op", key)
                 if isinstance(records, list):
                     eval_cache.operations.restore_records(records)
+                    self._restored[("op", key)] = records
                     stats.disk_cache_hits += 1
                 else:
                     stats.disk_cache_misses += 1
@@ -282,6 +287,7 @@ class PersistentCacheBinding:
                 triples = self.store.get("apps", key)
                 if isinstance(triples, list):
                     pool_cache.applications.restore_outcomes(triples, values)
+                    self._restored[("apps", key)] = triples
                     stats.disk_cache_hits += 1
                 else:
                     stats.disk_cache_misses += 1
@@ -292,18 +298,19 @@ class PersistentCacheBinding:
 
         Every section the run looked up is (re-)written: restored entries
         plus whatever the run added, so repeated warm runs keep growing one
-        merged snapshot per content key.
+        merged snapshot per content key.  A section equal to what the run
+        restored is skipped: its entry already holds exactly that.
         """
         written = 0
         if eval_cache is not None:
             entries, exhausted = eval_cache.spec.export_entries()
-            written += self.store.put("spec", self.spec_key(),
-                                      {"entries": entries, "exhausted": exhausted})
+            written += self._write("spec", self.spec_key(),
+                                   {"entries": entries, "exhausted": exhausted})
             grouped: Dict[str, List[Tuple[tuple, object]]] = {}
             for key_pair, record in eval_cache.operations.export_records():
                 grouped.setdefault(key_pair[0], []).append((key_pair, record))
             for name, key in sorted(self.operation_keys().items()):
-                written += self.store.put("op", key, grouped.get(name, []))
+                written += self._write("op", key, grouped.get(name, []))
         if pool_cache is not None:
             names = {id(value): name
                      for name, value in sorted(self._component_values().items())}
@@ -311,5 +318,11 @@ class PersistentCacheBinding:
             for triple in pool_cache.applications.export_outcomes(names):
                 by_component.setdefault(triple[0], []).append(triple)
             for name, key in sorted(self.component_keys().items()):
-                written += self.store.put("apps", key, by_component.get(name, []))
+                written += self._write("apps", key, by_component.get(name, []))
         return written
+
+    def _write(self, section: str, key: str, payload: object) -> bool:
+        """Put one section, unless it equals the entry restored from disk."""
+        if self._restored.get((section, key)) == payload:
+            return False
+        return self.store.put(section, key, payload)

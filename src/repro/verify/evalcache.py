@@ -212,8 +212,17 @@ class OperationMemo:
             (key, record) for key, record in self._records.items()
             if all(is_first_order(v) for v in key[1])
         ]
-        exported.sort(key=lambda item: (item[0][0],
-                                        tuple(value_order(v) for v in item[0][1])))
+        # Assignments share their values (they come from a few enumerated
+        # pools), so each value's order key is computed once.
+        orders: Dict[Value, tuple] = {}
+
+        def order(value: Value) -> tuple:
+            found = orders.get(value)
+            if found is None:
+                found = orders[value] = value_order(value)
+            return found
+
+        exported.sort(key=lambda item: (item[0][0], tuple(map(order, item[0][1]))))
         return exported
 
     def restore_records(self,

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import FAST_VERIFIER_BOUNDS
 from repro.core.predicate import Predicate, always_true
 from repro.inductive.relation import ConditionalInductivenessChecker
-from repro.lang.values import list_of_value
+from repro.lang.values import list_of_value, nat_of_int, v_list, value_order
 from repro.suite.registry import get_benchmark
 from repro.verify.result import InductivenessCounterexample, Valid
 
@@ -119,3 +119,16 @@ let cand (l : list) : bool =
     assert isinstance(result, InductivenessCounterexample)
     assert len(result.inputs) >= 1
     assert all(candidate(v) for v in result.inputs)
+
+
+def test_visible_pool_orders_equal_sizes_by_value_order(checker):
+    """The positive examples arrive as a set, whose order varies from process
+    to process; equal-size values are ordered by value_order, not by it."""
+    values = [v_list([nat_of_int(a), nat_of_int(b)]) for a, b in ((1, 0), (0, 1), (0, 0))]
+    values.append(v_list([nat_of_int(2)]))
+    expected = sorted(values, key=value_order)
+    assert [str(v) for v in expected] == ["[2]", "[0; 0]", "[0; 1]", "[1; 0]"]
+    for rotation in range(len(values)):
+        arrival = values[rotation:] + values[:rotation]
+        assert checker._abstract_pool(always_true, arrival) == expected
+        assert checker._abstract_pool(always_true, list(reversed(arrival))) == expected

@@ -216,3 +216,50 @@ def test_collected_predicate_cannot_answer_for_a_new_body():
         assert not rejecting(value)
         del rejecting
         gc.collect()
+
+
+# -- recursion head-room -----------------------------------------------------------
+
+
+def test_deep_peano_recursion_fits_the_recursion_limit(monkeypatch):
+    """A 4000-deep structural recursion evaluates without RecursionError in
+    exactly the steps the tree-walking interpreter took.
+
+    This pins the evaluator's own Python frames per level against
+    ``sys.setrecursionlimit(20_000)``.  Two other limits are kept out of the
+    way: the memo hashes its argument, and hashing a 4000-deep value
+    recurses in C, which Python 3.12 bounds separately; and before Python
+    3.11 every Python call also uses C stack, more than a default main
+    thread has, so the evaluation runs in a thread with a large stack.
+    """
+    import threading
+
+    import repro.lang.eval as lang_eval
+
+    monkeypatch.setattr(lang_eval, "MEMO_CAPACITY", 0)
+    program = Program.from_source("""
+let rec add (a : nat) (b : nat) : nat =
+  match a with
+  | O -> b
+  | S x -> S (add x b)
+""")
+    budget = EvalBudget(1_000_000)
+    results = []
+
+    def evaluate():
+        try:
+            results.append(program.evaluator.apply(
+                program.global_value("add"), nat_of_int(4000), nat_of_int(1), budget=budget))
+        except RecursionError as error:
+            results.append(error)
+
+    previous = threading.stack_size(256 * 1024 * 1024)
+    try:
+        worker = threading.Thread(target=evaluate)
+        worker.start()
+    finally:
+        threading.stack_size(previous)
+    worker.join()
+    assert not isinstance(results[0], RecursionError), results[0]
+    assert int_of_nat(results[0]) == 4001
+    assert 1_000_000 - budget.remaining == 44_006

@@ -73,7 +73,9 @@ def test_cached_hash_matches_the_dataclass_hash_and_is_not_pickled():
     value = VTuple((v_list([nat_of_int(2), nat_of_int(1)]), VCtor("Nil")))
     fresh = pickle.dumps(value, protocol=4)
     assert hash(value) == hash(((value.items[0], VCtor("Nil")),))
-    assert hash(value.items[1]) == hash(("Nil", None))
+    # A payload-free constructor leaves the payload out: hash(None) is an
+    # address before Python 3.12.
+    assert hash(value.items[1]) == hash(("Nil",))
     assert is_first_order(value)
     # The caches are per process: a pickle is the same bytes as before them.
     assert pickle.dumps(value, protocol=4) == fresh
@@ -120,3 +122,19 @@ def test_pretty_expr_handles_let_and_fun():
     rendered = pretty_expr(expr)
     assert "let y = S x in" in rendered
     assert "fun (z : nat)" in rendered
+
+
+def test_constructor_hash_is_equal_across_processes():
+    """Under one PYTHONHASHSEED, a payload-free constructor hashes alike in
+    every process (before Python 3.12, hash(None) is an address)."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    script = "from repro.lang.values import VCtor; print(hash(VCtor('Empty')))"
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.path.abspath(src))
+    hashes = {subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+              for _ in range(2)}
+    assert len(hashes) == 1
