@@ -39,18 +39,19 @@ Twelve subcommands drive the reproduction:
     cross-check that per-mode outcomes are identical across cache
     configurations and that inferred invariants imply the ground truth.
     Mismatching modules are shrunk to minimal ``.hanoi`` reproducers (see
-    docs/fuzzing.md).  ``--check-verifier`` additionally cross-checks the
-    abstract proof tier against the bounded tester on every module
-    (docs/verification.md); ``--check-persistence`` additionally re-runs
-    every module against cold, warm, and corrupted persistent disk-cache
-    stores and requires identical outcomes (docs/service.md).
+    docs/fuzzing.md).  ``--check canonical verifier persistence`` adds the
+    other differential checks: the canonicalized module, the ladder
+    verifier backend and the abstract tier's soundness, and cold, warm and
+    corrupted persistent disk-cache stores must all reproduce the same
+    outcomes.
 
-The ``run``, ``infer``, ``figure8``, and ``fuzz`` subcommands accept
-``--verifier {enumerative,abstract,ladder}`` to select the verification
-backend of the Hanoi loop (docs/verification.md).  ``run`` and ``infer``
-also accept ``--cache-dir DIR``: a persistent content-addressed disk cache
-that replays unchanged declarations' verification and synthesis work across
-processes (docs/service.md).
+Every inference-running subcommand accepts ``--profile``, ``--timeout`` and
+``--verifier {enumerative,ladder}`` (the verification backend of the Hanoi
+loop, docs/verification.md).  ``run``, ``figure8`` and ``infer`` also
+accept the cache ablations ``--no-eval-cache`` / ``--no-pool-cache``; they
+and ``serve`` accept ``--cache-dir DIR``: a persistent content-addressed
+disk cache that replays unchanged declarations' verification and synthesis
+work across processes (docs/service.md).
 
 ``serve``
     Run the inference service daemon: a stdlib-only HTTP/JSON API over a job
@@ -100,7 +101,7 @@ Examples::
     python -m repro figure8 --modes hanoi conj-str oneshot --jobs 8
     python -m repro fuzz --seed 0 --count 25 --out fuzz-out/
     python -m repro fuzz --lint --count 50 --out fuzz-out/
-    python -m repro fuzz --check-persistence --count 10 --out fuzz-out/
+    python -m repro fuzz --check canonical verifier persistence --count 10 --out fuzz-out/
     python -m repro infer examples/modules/bounded-stack.hanoi --cache-dir .hanoi-cache
     python -m repro serve --port 8764 --state-dir serve-state
     python -m repro submit examples/modules/bounded-stack.hanoi --url http://127.0.0.1:8764
@@ -142,7 +143,7 @@ from .experiments.runner import (
     expand_tasks,
 )
 from .experiments.store import ResultStore
-from .gen.diff import DEFAULT_FUZZ_MODES
+from .gen.diff import CHECKS, DEFAULT_FUZZ_MODES
 from .spec.errors import SpecFileError
 from .suite.registry import (
     BENCHMARKS,
@@ -197,6 +198,59 @@ def _tracing(args: argparse.Namespace) -> Iterator[None]:
                 sink.close()
 
 
+def _add_config_arguments(parser: argparse.ArgumentParser, *, caches: bool,
+                          cache_dir: bool) -> None:
+    """The inference-config flags, read back by :func:`_config_from_args`.
+
+    Every subcommand takes ``--profile``, ``--timeout`` and ``--verifier``;
+    ``caches`` adds the two cache ablation switches and ``cache_dir`` the
+    persistent disk-cache location."""
+    parser.add_argument("--profile", choices=sorted(PROFILES), default="quick",
+                        help="verifier bounds / timeout profile (default: quick)")
+    parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+                        help="timeout in seconds per inference run "
+                             "(overrides the profile's)")
+    parser.add_argument("--verifier", choices=BACKEND_NAMES,
+                        default="enumerative",
+                        help="verification backend for Hanoi-loop modes: the "
+                             "paper's bounded enumerative tester (default) or "
+                             "the ladder (abstract proofs first, enumeration "
+                             "for the rest; see docs/verification.md)")
+    if caches:
+        parser.add_argument("--no-eval-cache", action="store_true",
+                            help="disable cross-iteration verification "
+                                 "evaluation caching (the ablation; outcomes "
+                                 "are identical, Hanoi-mode runs are slower)")
+        parser.add_argument("--no-pool-cache", action="store_true",
+                            help="disable cross-iteration synthesis term-pool "
+                                 "caching (the ablation; candidate streams "
+                                 "are identical, synthesis-heavy runs are "
+                                 "slower)")
+    if cache_dir:
+        parser.add_argument("--cache-dir", default=None, metavar="DIR",
+                            help="persistent content-addressed disk cache: "
+                                 "unchanged declarations replay their "
+                                 "verification and synthesis work across "
+                                 "processes (docs/service.md; `serve` "
+                                 "defaults to STATE_DIR/cache)")
+
+
+def _config_from_args(args: argparse.Namespace):
+    """The :class:`~repro.core.config.HanoiConfig` the config flags select."""
+    profile = PROFILES[args.profile]
+    # Only override the profile's timeout when one was given explicitly;
+    # profile() keeps the default (quick: 60 s, paper: 1800 s).
+    config = profile() if args.timeout is None else profile(args.timeout)
+    if getattr(args, "no_eval_cache", False):
+        config = config.without_evaluation_caching()
+    if getattr(args, "no_pool_cache", False):
+        config = config.without_synthesis_evaluation_caching()
+    config = config.with_verifier_backend(args.verifier)
+    if getattr(args, "cache_dir", None):
+        config = config.with_cache_dir(args.cache_dir)
+    return config
+
+
 def _add_sweep_arguments(parser: argparse.ArgumentParser, default_output: str) -> None:
     """Flags shared by the sweep-running subcommands (``run`` and ``figure8``)."""
     parser.add_argument("--benchmarks", nargs="*", default=None, metavar="NAME",
@@ -209,31 +263,7 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser, default_output: str) -
     parser.add_argument("--pack", default=None, metavar="DIR",
                         help="register a directory of .hanoi benchmark definition "
                              "files; without other selectors, runs that pack")
-    parser.add_argument("--profile", choices=sorted(PROFILES), default="quick",
-                        help="verifier bounds / timeout profile (default: quick)")
-    parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                        help="per-task timeout in seconds (overrides the profile's)")
-    parser.add_argument("--no-eval-cache", action="store_true",
-                        help="disable cross-iteration verification evaluation "
-                             "caching (the ablation; outcomes are identical, "
-                             "Hanoi-mode runs are slower)")
-    parser.add_argument("--no-pool-cache", action="store_true",
-                        help="disable cross-iteration synthesis term-pool "
-                             "caching (the ablation; candidate streams are "
-                             "identical, synthesis-heavy runs are slower)")
-    parser.add_argument("--verifier", choices=BACKEND_NAMES,
-                        default="enumerative",
-                        help="verification backend for Hanoi-loop modes: the "
-                             "paper's bounded enumerative tester (default), "
-                             "the static abstract-interpretation tier alone "
-                             "(unsound diagnostic mode), or the ladder "
-                             "(abstract proofs first, enumeration for the "
-                             "rest; see docs/verification.md)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persistent content-addressed disk cache: "
-                             "snapshot the evaluation and pool caches per "
-                             "declaration so unchanged operations replay "
-                             "across processes (docs/service.md)")
+    _add_config_arguments(parser, caches=True, cache_dir=True)
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes (default: all CPUs; 1 = serial in-process)")
     parser.add_argument("--output", default=default_output, metavar="PATH",
@@ -279,23 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="benchmark definition file (see docs/format.md)")
     infer.add_argument("--mode", choices=sorted(MODES), default="hanoi",
                        help="inference mode (default: hanoi)")
-    infer.add_argument("--profile", choices=sorted(PROFILES), default="quick",
-                       help="verifier bounds / timeout profile (default: quick)")
-    infer.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                       help="timeout in seconds (overrides the profile's)")
-    infer.add_argument("--no-eval-cache", action="store_true",
-                       help="disable cross-iteration verification evaluation caching")
-    infer.add_argument("--no-pool-cache", action="store_true",
-                       help="disable cross-iteration synthesis term-pool caching")
-    infer.add_argument("--verifier", choices=BACKEND_NAMES,
-                       default="enumerative",
-                       help="verification backend (default: enumerative; "
-                            "see docs/verification.md)")
-    infer.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="persistent content-addressed disk cache: a "
-                            "second run (or a run after an edit) replays "
-                            "unchanged declarations' work from disk "
-                            "(docs/service.md)")
+    _add_config_arguments(infer, caches=True, cache_dir=True)
     _add_trace_arguments(infer)
     infer.set_defaults(func=_cmd_infer)
 
@@ -353,25 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
                            "differential sweep: generated modules must be "
                            "lint-clean; dirty ones are shrunk to minimal "
                            ".hanoi reproducers")
-    fuzz.add_argument("--verifier", choices=BACKEND_NAMES,
-                      default="enumerative",
-                      help="verification backend for the sweep's Hanoi-loop "
-                           "modes (default: enumerative)")
-    fuzz.add_argument("--check-verifier", action="store_true",
-                      help="additionally cross-check the abstract proof tier "
-                           "on every module: ladder outcomes must equal "
-                           "enumerative ones, and no statically proven "
-                           "obligation may admit an enumerated "
-                           "counterexample (docs/verification.md)")
-    fuzz.add_argument("--check-persistence", action="store_true",
-                      help="additionally re-run every module's Hanoi modes "
-                           "against cold, warm, and corrupted persistent "
-                           "disk-cache stores; all outcomes must equal the "
-                           "persistence-free run (docs/service.md)")
-    fuzz.add_argument("--profile", choices=sorted(PROFILES), default="quick",
-                      help="verifier bounds / timeout profile (default: quick)")
-    fuzz.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                      help="per-task timeout in seconds (overrides the profile's)")
+    fuzz.add_argument("--check", nargs="+", default=[], metavar="CHECK",
+                      choices=[name for name in CHECKS if name != "cache"],
+                      help="differential checks to run in process after the "
+                           "cache matrix: canonical (the canonicalized "
+                           "module), verifier (the ladder backend and the "
+                           "abstract tier's soundness), persistence (cold, "
+                           "warm and corrupted disk-cache stores); see "
+                           "docs/fuzzing.md")
+    _add_config_arguments(fuzz, caches=False, cache_dir=False)
     fuzz.add_argument("--jobs", type=int, default=None, metavar="N",
                       help="worker processes (default: all CPUs; 1 = serial "
                            "in-process)")
@@ -391,9 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--state-dir", default="serve-state", metavar="DIR",
                        help="service state: results.jsonl, modules/, cache/ "
                             "(default: serve-state)")
-    serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="persistent disk-cache location (default: "
-                            "STATE_DIR/cache)")
     serve.add_argument("--no-persistence", action="store_true",
                        help="disable the persistent disk-cache tier")
     serve.add_argument("--jobs", type=int, default=2, metavar="N",
@@ -401,13 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-retries", type=int, default=1, metavar="N",
                        help="re-queue a job whose worker crashed up to N "
                             "times (default: 1)")
-    serve.add_argument("--profile", choices=sorted(PROFILES), default="quick",
-                       help="verifier bounds / timeout profile (default: quick)")
-    serve.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                       help="per-job timeout in seconds (overrides the profile's)")
-    serve.add_argument("--verifier", choices=BACKEND_NAMES,
-                       default="enumerative",
-                       help="verification backend (default: enumerative)")
+    _add_config_arguments(serve, caches=False, cache_dir=True)
     serve.set_defaults(func=_cmd_serve)
 
     submit = subparsers.add_parser(
@@ -526,17 +521,7 @@ def _run_sweep(args: argparse.Namespace, modes: Sequence[str]) -> List[Inference
     result set recorded in the output store for this sweep's pairs."""
     pack = _register_pack(args.pack) if args.pack else None
     names = _select_benchmarks(args, pack=pack)
-    profile = PROFILES[args.profile]
-    # Only override the profile's timeout when one was given explicitly;
-    # profile() keeps the default (quick: 60 s, paper: 1800 s).
-    config = profile() if args.timeout is None else profile(args.timeout)
-    if args.no_eval_cache:
-        config = config.without_evaluation_caching()
-    if args.no_pool_cache:
-        config = config.without_synthesis_evaluation_caching()
-    config = config.with_verifier_backend(args.verifier)
-    if args.cache_dir:
-        config = config.with_cache_dir(args.cache_dir)
+    config = _config_from_args(args)
     tasks = expand_tasks(names, modes=list(modes), config=config,
                          pack=pack.path if pack is not None else None,
                          pack_benchmarks=pack.benchmark_names if pack is not None else None,
@@ -654,15 +639,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     except SpecFileError as exc:
         raise SystemExit(f"error: {exc}")
 
-    profile = PROFILES[args.profile]
-    config = profile() if args.timeout is None else profile(args.timeout)
-    if args.no_eval_cache:
-        config = config.without_evaluation_caching()
-    if args.no_pool_cache:
-        config = config.without_synthesis_evaluation_caching()
-    config = config.with_verifier_backend(args.verifier)
-    if args.cache_dir:
-        config = config.with_cache_dir(args.cache_dir)
+    config = _config_from_args(args)
     operations = ", ".join(op.name for op in definition.operations)
     print(f"loaded {definition.name} ({definition.group}): "
           f"{len(definition.operations)} operation(s): {operations}")
@@ -840,7 +817,8 @@ def _print_lint_report(report, args: argparse.Namespace, counts) -> None:
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .experiments.runner import ExperimentTask
-    from .gen.diff import VARIANT_NAMES, compare_stored, fuzz_module, variant_config
+    from .gen.diff import (VARIANT_NAMES, compare_stored, fuzz_corpus,
+                           fuzz_module, variant_config)
     from .gen.modgen import generate_corpus, write_corpus
     from .gen.shrink import shrink_module, write_reproducer
 
@@ -860,9 +838,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     pack = _register_pack(corpus_dir)
     definitions = {module.name: module.definition for module in corpus}
 
-    profile = PROFILES[args.profile]
-    config = profile() if args.timeout is None else profile(args.timeout)
-    config = config.with_verifier_backend(args.verifier)
+    config = _config_from_args(args)
     tasks = [ExperimentTask(benchmark=name, mode=mode,
                             config=variant_config(config, variant),
                             pack=pack.path, pack_name=pack.name, variant=variant)
@@ -902,29 +878,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                in sweep_keys]
     report = compare_stored(results, definitions, modes=modes,
                             check_oracle=not args.no_oracle, config=config)
-    if args.check_verifier:
-        from .gen.diff import (verifier_backend_mismatches,
-                               verifier_soundness_mismatches)
-
-        print("cross-checking the abstract proof tier "
+    if args.check:
+        print(f"running the {' '.join(args.check)} check(s) in process "
               f"({len(definitions)} module(s)) ...")
-        for definition in definitions.values():
-            backend = verifier_backend_mismatches(definition, modes=modes,
-                                                  config=config)
-            report.mismatches.extend(backend)
-            report.runs += 2 * sum(1 for m in modes if m.startswith("hanoi"))
-            report.mismatches.extend(
-                verifier_soundness_mismatches(definition, config=config))
-    if args.check_persistence:
-        from .gen.diff import persistent_cache_mismatches
-
-        print("cross-checking the persistent disk-cache tier "
-              f"({len(definitions)} module(s)) ...")
-        for definition in definitions.values():
-            report.mismatches.extend(
-                persistent_cache_mismatches(definition, modes=modes,
-                                            config=config))
-            report.runs += 4 * sum(1 for m in modes if m.startswith("hanoi"))
+        report.merge(fuzz_corpus(list(definitions.values()), modes=modes,
+                                 config=config, require_success=(),
+                                 check_oracle=False, checks=args.check))
     print()
     print(report.summary())
     for failure in report.oracle_failures:
@@ -943,9 +902,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             shrunk.add(mismatch.benchmark)
             definition = definitions[mismatch.benchmark]
 
-            def still_fails(candidate, _mode=mismatch.mode):
-                rerun = fuzz_module(candidate, modes=(_mode,), config=config,
-                                    require_success=(), check_oracle=False)
+            def still_fails(candidate, _mismatch=mismatch):
+                # Re-run only the check that disagreed, under its mode.
+                rerun = fuzz_module(candidate, modes=(_mismatch.mode,),
+                                    config=config, require_success=(),
+                                    check_oracle=False,
+                                    checks=(_mismatch.kind,))
                 return bool(rerun.mismatches)
 
             try:
@@ -967,9 +929,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve.api import make_server
     from .serve.jobs import JobScheduler
 
-    profile = PROFILES[args.profile]
-    config = profile() if args.timeout is None else profile(args.timeout)
-    config = config.with_verifier_backend(args.verifier)
+    config = _config_from_args(args)
     # None -> the scheduler's default (STATE_DIR/cache); "" -> disabled.
     cache_dir = "" if args.no_persistence else args.cache_dir
     scheduler = JobScheduler(args.state_dir, config=config, jobs=args.jobs,

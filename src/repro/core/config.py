@@ -168,8 +168,7 @@ class HanoiConfig:
     #: Evaluation fuel for a single object-language run.
     eval_fuel: int = 500_000
     #: Which verification ladder rungs answer the loop's obligations:
-    #: ``enumerative`` (the paper's bounded tester, the default),
-    #: ``abstract`` (static tier only; unsound diagnostic mode), or
+    #: ``enumerative`` (the paper's bounded tester, the default) or
     #: ``ladder`` (abstract proofs first, enumeration for the rest).
     #: See docs/verification.md.
     verifier_backend: str = "enumerative"

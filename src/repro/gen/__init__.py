@@ -7,9 +7,10 @@ a scaling corpus and a correctness oracle:
   invariant is known *by construction* - the invariant is chosen first and
   every operation is derived so that it provably preserves it;
 * :mod:`repro.gen.diff` runs generated (or any) modules through several
-  inference modes under every cache configuration and cross-checks that the
-  outcomes are byte-identical per mode, and that inferred invariants agree
-  with the ground truth under the bounded tester;
+  inference modes under the runs of each differential check (the cache
+  matrix, canonicalization, the verifier ladder, the disk-cache store) and
+  cross-checks that the outcomes are byte-identical per mode, and that
+  inferred invariants agree with the ground truth under the bounded tester;
 * :mod:`repro.gen.shrink` minimizes a mismatching module to a small ``.hanoi``
   reproducer.
 

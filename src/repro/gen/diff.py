@@ -1,33 +1,37 @@
 """Differential fuzzing: cross-check modes and cache configurations.
 
 Every module (generated or hand-written) is run through a set of inference
-modes, each under all four cache configurations - the 2x2 matrix of the
-verification evaluation cache (``--no-eval-cache``) and the synthesis
-term-pool cache (``--no-pool-cache``).  Three properties are checked:
+modes, and each mode through the runs of one or more *checks*.  A check
+(:data:`CHECKS`) is a named, ordered list of runs of the same module under
+variants that advertise "identical outcomes"; the harness holds them to it
+by requiring byte-identical outcome *fingerprints* (status, rendered
+invariant, size, iteration count, message) across the runs:
 
-1. **Cache transparency** - per mode, the outcome *fingerprint* (status,
-   rendered invariant, size, iteration count, message) is byte-identical
-   across all four cache configurations.  The caches advertise "identical
-   outcomes, less work"; this is the harness that holds them to it.
-2. **Ground-truth agreement** - for generated modules the expected invariant
-   is known by construction (:mod:`repro.gen.modgen`); the bounded tester
-   checks it is sufficient and inductive (a generator self-check), and that
-   every *inferred* invariant implies it (inference may find a stronger
-   invariant than the ground truth, never an incomparable one, because the
-   generated specification's leading conjunct is the ground truth itself).
-3. **Mode success** - modes listed in ``require_success`` (by default just
-   ``hanoi``) must solve every generated module: the invariant is a single
-   application of a helper the synthesizer is handed as a component, so a
-   failure is a real regression, not an unlucky search.
-4. **Verifier-backend soundness** (``check_verifier``) - the abstract
-   proof tier (:mod:`repro.analysis.absint`) must be transparent: ladder
-   runs reproduce enumerative outcomes byte-for-byte, and no statically
-   PROVEN obligation may admit an enumerated counterexample (see
-   docs/verification.md).
-5. **Persistent-cache transparency** (``check_persistence``) - the disk
-   cache tier (:mod:`repro.serve.diskcache`) must replay identically:
-   no-persistence, cold-store, warm-store, and corrupted-store runs all
-   produce the same fingerprint (see docs/service.md).
+* ``cache`` - the 2x2 matrix of the verification evaluation cache
+  (``--no-eval-cache``) and the synthesis term-pool cache
+  (``--no-pool-cache``).  Always run; the CLI runs it through the parallel
+  runner and the result store.
+* ``canonical`` - the module and its canonicalized form
+  (:mod:`repro.analysis.canon`).
+* ``verifier`` - the enumerative and the ladder backend, plus the
+  obligation-level soundness check of the abstract proof tier
+  (:func:`verifier_soundness_mismatches`; see docs/verification.md).
+* ``persistence`` - no persistence, then a cold, a warm and a corrupted
+  persistent disk-cache store (:mod:`repro.serve.diskcache`; see
+  docs/service.md).
+
+Two more properties are checked on the cache matrix's reference run:
+
+* **Ground-truth agreement** - for generated modules the expected invariant
+  is known by construction (:mod:`repro.gen.modgen`); the bounded tester
+  checks it is sufficient and inductive (a generator self-check), and that
+  every *inferred* invariant implies it (inference may find a stronger
+  invariant than the ground truth, never an incomparable one, because the
+  generated specification's leading conjunct is the ground truth itself).
+* **Mode success** - modes listed in ``require_success`` (by default just
+  ``hanoi``) must solve every generated module: the invariant is a single
+  application of a helper the synthesizer is handed as a component, so a
+  failure is a real regression, not an unlucky search.
 
 Mismatches are reported as :class:`DifferentialMismatch` records; the CLI
 hands them to :mod:`repro.gen.shrink` to minimize into reproducers.
@@ -38,7 +42,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Generator, List, Optional, Sequence,
+                    Tuple)
 
 from ..core.config import HanoiConfig
 from ..core.module import ModuleDefinition
@@ -52,17 +57,16 @@ from ..verify.tester import Verifier
 
 __all__ = [
     "CACHE_VARIANTS",
+    "CHECKS",
     "DEFAULT_FUZZ_MODES",
     "FAULT_ENV_VAR",
+    "Check",
     "variant_config",
     "outcome_fingerprint",
     "DifferentialMismatch",
     "OracleFailure",
     "FuzzReport",
-    "canonicalization_mismatches",
-    "verifier_backend_mismatches",
     "verifier_soundness_mismatches",
-    "persistent_cache_mismatches",
     "fuzz_module",
     "fuzz_corpus",
     "compare_stored",
@@ -91,8 +95,11 @@ DEFAULT_FUZZ_MODES: Tuple[str, ...] = (
 #: so the shrinker pipeline can be exercised end to end without a real bug.
 FAULT_ENV_VAR = "REPRO_FUZZ_FAULT_OPERATION"
 
-#: Signature of a fault hook: (benchmark, mode, variant, fingerprint) -> fingerprint.
+#: Signature of a fault hook: (benchmark, mode, tag, fingerprint) -> fingerprint.
 FaultHook = Callable[[str, str, str, dict], dict]
+
+#: One run of a check: (tag, module, configuration).
+Run = Tuple[str, ModuleDefinition, HanoiConfig]
 
 
 def variant_config(config: HanoiConfig, variant: str) -> HanoiConfig:
@@ -147,144 +154,56 @@ def _env_fault_hook(definitions: Dict[str, ModuleDefinition]) -> Optional[FaultH
     return hook
 
 
-@dataclass(frozen=True)
-class DifferentialMismatch:
-    """One ``(benchmark, mode)`` pair whose runs disagree.
-
-    ``kind`` says which axis disagreed: the cache-variant matrix (the
-    default) or the original-versus-canonicalized module comparison."""
-
-    benchmark: str
-    mode: str
-    #: run tag -> fingerprint (missing runs are absent).  Cache-matrix
-    #: mismatches use the variant tags; canonicalization mismatches use
-    #: ``original`` / ``canonical``.
-    fingerprints: Dict[str, dict]
-    kind: str = "cache variants"
-
-    def describe(self) -> str:
-        lines = [f"{self.benchmark} [{self.mode}]: {self.kind} disagree"]
-        keys = (VARIANT_NAMES if self.kind == "cache variants"
-                else tuple(self.fingerprints))
-        for key in keys:
-            if key in self.fingerprints:
-                lines.append(f"  {key:10s} {_fingerprint_bytes(self.fingerprints[key])}")
-            else:
-                lines.append(f"  {key:10s} (missing)")
-        return "\n".join(lines)
+# -- the check table ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class OracleFailure:
-    """A ground-truth check that failed for one ``(benchmark, mode, variant)``."""
+class Check:
+    """One differential check: runs that must produce identical outcomes.
 
-    benchmark: str
-    mode: str
-    variant: str
-    reason: str
-
-    def describe(self) -> str:
-        return f"{self.benchmark} [{self.mode}/{self.variant}]: {self.reason}"
-
-
-@dataclass
-class FuzzReport:
-    """The aggregated outcome of one differential sweep."""
-
-    benchmarks: List[str] = field(default_factory=list)
-    runs: int = 0
-    mismatches: List[DifferentialMismatch] = field(default_factory=list)
-    oracle_failures: List[OracleFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches and not self.oracle_failures
-
-    def merge(self, other: "FuzzReport") -> None:
-        self.benchmarks.extend(other.benchmarks)
-        self.runs += other.runs
-        self.mismatches.extend(other.mismatches)
-        self.oracle_failures.extend(other.oracle_failures)
-
-    def summary(self) -> str:
-        status = "ok" if self.ok else "FAILED"
-        return (f"differential fuzz {status}: {len(self.benchmarks)} module(s), "
-                f"{self.runs} run(s), {len(self.mismatches)} mismatch(es), "
-                f"{len(self.oracle_failures)} oracle failure(s)")
-
-
-# -- canonicalization transparency ------------------------------------------------
-
-
-def canonicalization_mismatches(definition: ModuleDefinition,
-                                modes: Sequence[str] = DEFAULT_FUZZ_MODES,
-                                config: Optional[HanoiConfig] = None,
-                                ) -> List[DifferentialMismatch]:
-    """Run the module and its canonicalized form through each mode.
-
-    The canonicalizing rewrites (:mod:`repro.analysis.canon`) advertise
-    behaviour preservation: constant folding, dead-branch elimination, and
-    alpha-normalization must not change what inference concludes.  This is
-    the harness that holds them to it - the outcome fingerprints of the
-    original and the canonicalized module must be byte-identical per mode.
+    ``runs(definition, config)`` is a generator of :data:`Run` triples in
+    ``tags`` order.  The :class:`InferenceResult` of each run is sent back
+    into it, and it may return ``{tag: reason}`` for runs that made the
+    comparison vacuous; the harness adds the reason to that run's
+    fingerprint, so a vacuous check fails like a disagreeing one.
     """
+
+    #: How :meth:`DifferentialMismatch.describe` names what disagreed.
+    label: str
+    tags: Tuple[str, ...]
+    #: Only modes built on the Hanoi loop (baselines never consult the
+    #: verifier backend or create the caches the check exercises).
+    hanoi_only: bool
+    runs: Callable[[ModuleDefinition, HanoiConfig],
+                   Generator[Run, InferenceResult, Optional[Dict[str, str]]]]
+    #: Module-level mismatches beyond the fingerprint comparison, computed
+    #: once per module and reported under the first applicable mode.
+    obligations: Optional[Callable[..., List["DifferentialMismatch"]]] = None
+
+    def applies(self, mode: str) -> bool:
+        return not self.hanoi_only or mode.startswith("hanoi")
+
+
+def _cache_runs(definition: ModuleDefinition, config: HanoiConfig):
+    for variant in VARIANT_NAMES:
+        yield variant, definition, variant_config(config, variant)
+
+
+def _canonical_runs(definition: ModuleDefinition, config: HanoiConfig):
+    """The canonicalizing rewrites (constant folding, dead-branch
+    elimination, alpha-normalization) advertise behaviour preservation."""
     from ..analysis.canon import canonicalize_definition
-    from ..experiments.runner import quick_config, run_module
 
-    base = config or quick_config()
-    canonical = canonicalize_definition(definition)
-    mismatches: List[DifferentialMismatch] = []
-    for mode in modes:
-        fingerprints = {
-            "original": outcome_fingerprint(
-                run_module(definition, mode=mode, config=base)),
-            "canonical": outcome_fingerprint(
-                run_module(canonical, mode=mode, config=base)),
-        }
-        rendered = {_fingerprint_bytes(fp) for fp in fingerprints.values()}
-        if len(rendered) != 1:
-            mismatches.append(DifferentialMismatch(
-                benchmark=definition.name, mode=mode,
-                fingerprints=fingerprints, kind="canonicalization"))
-    return mismatches
+    yield "original", definition, config
+    yield "canonical", canonicalize_definition(definition), config
 
 
-# -- verifier-backend transparency and soundness ----------------------------------
-
-
-def verifier_backend_mismatches(definition: ModuleDefinition,
-                                modes: Sequence[str] = DEFAULT_FUZZ_MODES,
-                                config: Optional[HanoiConfig] = None,
-                                ) -> List[DifferentialMismatch]:
-    """Run each Hanoi mode under the enumerative and the ladder backend.
-
-    The verification ladder (docs/verification.md) advertises trajectory
-    identity: static proofs only discharge obligations the bounded tester
-    would have passed anyway, so the loop visits the same candidates and
-    returns the same invariant.  This is the harness that holds it to it.
-    Baseline modes never consult the verifier backend, so only modes built
-    on the Hanoi loop are compared.
-    """
-    from ..experiments.runner import quick_config, run_module
-
-    base = (config or quick_config()).with_verifier_backend("enumerative")
-    ladder = base.with_verifier_backend("ladder")
-    mismatches: List[DifferentialMismatch] = []
-    for mode in modes:
-        if not mode.startswith("hanoi"):
-            continue
-        fingerprints = {
-            "enumerative": outcome_fingerprint(
-                run_module(definition, mode=mode, config=base)),
-            "ladder": outcome_fingerprint(
-                run_module(definition, mode=mode, config=ladder)),
-        }
-        rendered = {_fingerprint_bytes(fp) for fp in fingerprints.values()}
-        if len(rendered) != 1:
-            mismatches.append(DifferentialMismatch(
-                benchmark=definition.name, mode=mode,
-                fingerprints=fingerprints, kind="verifier backends"))
-    return mismatches
+def _verifier_runs(definition: ModuleDefinition, config: HanoiConfig):
+    """The ladder advertises trajectory identity: static proofs only
+    discharge obligations the bounded tester would have passed anyway."""
+    config = config.with_verifier_backend("enumerative")
+    yield "enumerative", definition, config
+    yield "ladder", definition, config.with_verifier_backend("ladder")
 
 
 def _corrupt_store(directory: str) -> int:
@@ -306,58 +225,34 @@ def _corrupt_store(directory: str) -> int:
     return flipped
 
 
-def persistent_cache_mismatches(definition: ModuleDefinition,
-                                modes: Sequence[str] = DEFAULT_FUZZ_MODES,
-                                config: Optional[HanoiConfig] = None,
-                                cache_dir: Optional[str] = None,
-                                ) -> List[DifferentialMismatch]:
-    """Cold, warm, and corrupted persistent-store runs vs. no persistence.
-
-    The disk cache tier (:mod:`repro.serve.diskcache`) advertises the same
-    contract as the in-memory caches: identical outcomes, less work - now
-    across *processes*.  Per Hanoi mode this runs the module four ways:
-    without persistence, against an empty store (cold), against the store
-    the cold run just wrote (warm), and against that store with one byte
-    flipped in every entry (corruption tolerance: every entry must be
-    skipped with a warning, never crash or change the outcome).  All four
-    fingerprints must be byte-identical.  Baseline modes never create the
-    caches, so only Hanoi-loop modes are compared.
-    """
+def _persistence_runs(definition: ModuleDefinition, config: HanoiConfig):
+    """Without persistence, then against a fresh store: empty (cold), as
+    the cold run left it (warm), and with one byte flipped in every entry
+    (every entry must be skipped with a warning, never crash or change the
+    outcome).  The check is vacuous unless the cold run misses, the warm
+    run hits, and corruption flips at least one entry."""
     import shutil
     import tempfile
 
-    from ..experiments.runner import quick_config, run_module
-
-    base = (config or quick_config()).without_persistent_caching()
-    mismatches: List[DifferentialMismatch] = []
-    for mode in modes:
-        if not mode.startswith("hanoi"):
-            continue
-        owns_dir = cache_dir is None
-        directory = (tempfile.mkdtemp(prefix="repro-fuzz-diskcache-")
-                     if owns_dir else os.path.join(cache_dir, mode.replace("/", "_")))
-        try:
-            persistent = base.with_cache_dir(directory)
-            fingerprints = {
-                "no-persistence": outcome_fingerprint(
-                    run_module(definition, mode=mode, config=base)),
-                "cold-store": outcome_fingerprint(
-                    run_module(definition, mode=mode, config=persistent)),
-                "warm-store": outcome_fingerprint(
-                    run_module(definition, mode=mode, config=persistent)),
-            }
-            _corrupt_store(directory)
-            fingerprints["corrupt-store"] = outcome_fingerprint(
-                run_module(definition, mode=mode, config=persistent))
-            rendered = {_fingerprint_bytes(fp) for fp in fingerprints.values()}
-            if len(rendered) != 1:
-                mismatches.append(DifferentialMismatch(
-                    benchmark=definition.name, mode=mode,
-                    fingerprints=fingerprints, kind="persistent cache"))
-        finally:
-            if owns_dir:
-                shutil.rmtree(directory, ignore_errors=True)
-    return mismatches
+    plain = config.without_persistent_caching()
+    directory = tempfile.mkdtemp(prefix="repro-fuzz-diskcache-")
+    store = plain.with_cache_dir(directory)
+    try:
+        yield "no-persistence", definition, plain
+        cold = yield "cold-store", definition, store
+        warm = yield "warm-store", definition, store
+        flipped = _corrupt_store(directory)
+        yield "corrupt-store", definition, store
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+    vacuous = {}
+    if not cold.stats.disk_cache_misses:
+        vacuous["cold-store"] = "the cold run recorded no disk-cache miss"
+    if not warm.stats.disk_cache_hits:
+        vacuous["warm-store"] = "the warm run recorded no disk-cache hit"
+    if not flipped:
+        vacuous["corrupt-store"] = "corruption flipped no store entry"
+    return vacuous
 
 
 def _soundness_candidates(instance) -> List[Tuple[str, Predicate]]:
@@ -396,6 +291,7 @@ def _soundness_candidates(instance) -> List[Tuple[str, Predicate]]:
 
 def verifier_soundness_mismatches(definition: ModuleDefinition,
                                   config: Optional[HanoiConfig] = None,
+                                  mode: str = "hanoi",
                                   ) -> List[DifferentialMismatch]:
     """Obligation-level soundness check of the abstract tier.
 
@@ -405,8 +301,9 @@ def verifier_soundness_mismatches(definition: ModuleDefinition,
     every operation the abstract checker proves is re-checked by the bounded
     enumerative tester; an enumerated counterexample landing on a proven
     operation - or on a proven sufficiency obligation - is reported as a
-    ``verifier soundness`` mismatch (a real bug in the static tier, never
-    an unlucky search).
+    ``verifier`` mismatch under ``mode`` (a real bug in the static tier,
+    never an unlucky search).  The fingerprints name the obligation: the
+    ladder's verdict (``proven``) against the enumerative one.
     """
     from ..analysis.absint import PROVEN, AbstractChecker
     from ..experiments.runner import quick_config
@@ -418,12 +315,17 @@ def verifier_soundness_mismatches(definition: ModuleDefinition,
     checker = ConditionalInductivenessChecker(instance, bounds=bounds)
     mismatches: List[DifferentialMismatch] = []
 
-    candidates = _soundness_candidates(instance)
+    def unsound(obligation: dict) -> None:
+        mismatches.append(_compare("verifier", definition.name, mode, {
+            "enumerative": dict(obligation, verdict="counterexample"),
+            "ladder": dict(obligation, verdict="proven"),
+        }))
+
     # Sufficiency is candidate-independent on the abstract side (the spec is
     # evaluated over type tops), so one PROVEN verdict promises enumerative
     # validity for *every* candidate.
     sufficiency_proven = abstract.sufficiency_verdict() == PROVEN
-    for tag, predicate in candidates:
+    for tag, predicate in _soundness_candidates(instance):
         if sufficiency_proven:
             try:
                 verdict = verifier.check_sufficiency(predicate)
@@ -433,40 +335,106 @@ def verifier_soundness_mismatches(definition: ModuleDefinition,
                 # it), so there is nothing to compare.
                 verdict = VALID
             if not isinstance(verdict, Valid):
-                mismatches.append(DifferentialMismatch(
-                    benchmark=definition.name, mode=f"sufficiency/{tag}",
-                    fingerprints={
-                        "abstract": {"verdict": "proven"},
-                        "enumerative": {"verdict": "counterexample"},
-                    },
-                    kind="verifier soundness"))
+                unsound({"obligation": f"sufficiency/{tag}"})
         verdicts = abstract.inductiveness_verdicts(predicate.decl, None)
         result = checker.check(predicate, predicate)
         if (isinstance(result, InductivenessCounterexample)
                 and verdicts.get(result.operation) == PROVEN):
-            mismatches.append(DifferentialMismatch(
-                benchmark=definition.name, mode=f"inductiveness/{tag}",
-                fingerprints={
-                    "abstract": {"verdict": "proven",
-                                 "operation": result.operation},
-                    "enumerative": {"verdict": "counterexample",
-                                    "operation": result.operation},
-                },
-                kind="verifier soundness"))
+            unsound({"obligation": f"inductiveness/{tag}",
+                     "operation": result.operation})
     return mismatches
 
 
-# -- in-process sweeps -----------------------------------------------------------
+#: Every differential check, in the order the harness runs them.
+CHECKS: Dict[str, Check] = {
+    "cache": Check("cache variants", VARIANT_NAMES, False, _cache_runs),
+    "canonical": Check("canonicalization", ("original", "canonical"), False,
+                       _canonical_runs),
+    "verifier": Check("verifier backends", ("enumerative", "ladder"), True,
+                      _verifier_runs, verifier_soundness_mismatches),
+    "persistence": Check("persistent cache", ("no-persistence", "cold-store",
+                                              "warm-store", "corrupt-store"),
+                         True, _persistence_runs),
+}
 
 
-def _diff_variants(benchmark: str, mode: str,
-                   fingerprints: Dict[str, dict]) -> Optional[DifferentialMismatch]:
-    """A mismatch record when the variant fingerprints are not all identical."""
-    rendered = {variant: _fingerprint_bytes(fp) for variant, fp in fingerprints.items()}
-    if len(fingerprints) == len(VARIANT_NAMES) and len(set(rendered.values())) == 1:
+# -- reports -----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DifferentialMismatch:
+    """One ``(benchmark, mode)`` pair whose runs under a check disagree."""
+
+    benchmark: str
+    mode: str
+    #: run tag -> fingerprint (missing runs are absent).
+    fingerprints: Dict[str, dict]
+    #: The :data:`CHECKS` entry that produced the mismatch.
+    kind: str = "cache"
+
+    def describe(self) -> str:
+        check = CHECKS[self.kind]
+        lines = [f"{self.benchmark} [{self.mode}]: {check.label} disagree"]
+        for tag in check.tags:
+            fingerprint = self.fingerprints.get(tag)
+            rendered = ("(missing)" if fingerprint is None
+                        else _fingerprint_bytes(fingerprint))
+            lines.append(f"  {tag:10s} {rendered}")
+        return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class OracleFailure:
+    """A ground-truth check that failed for one ``(benchmark, mode, variant)``."""
+
+    benchmark: str
+    mode: str
+    variant: str
+    reason: str
+
+    def describe(self) -> str:
+        return f"{self.benchmark} [{self.mode}/{self.variant}]: {self.reason}"
+
+
+@dataclass
+class FuzzReport:
+    """The aggregated outcome of one differential sweep."""
+
+    benchmarks: List[str] = field(default_factory=list)
+    runs: int = 0
+    mismatches: List[DifferentialMismatch] = field(default_factory=list)
+    oracle_failures: List[OracleFailure] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches and not self.oracle_failures
+
+    def merge(self, other: "FuzzReport") -> None:
+        self.benchmarks.extend(name for name in other.benchmarks
+                               if name not in self.benchmarks)
+        self.runs += other.runs
+        self.mismatches.extend(other.mismatches)
+        self.oracle_failures.extend(other.oracle_failures)
+
+    def summary(self) -> str:
+        status = "ok" if self.ok else "FAILED"
+        return (f"differential fuzz {status}: {len(self.benchmarks)} module(s), "
+                f"{self.runs} run(s), {len(self.mismatches)} mismatch(es), "
+                f"{len(self.oracle_failures)} oracle failure(s)")
+
+
+# -- the comparator and the reference-run checks -----------------------------------
+
+
+def _compare(check: str, benchmark: str, mode: str,
+             fingerprints: Dict[str, dict]) -> Optional[DifferentialMismatch]:
+    """A mismatch when a tag of ``check`` has no fingerprint or two differ."""
+    rendered = {_fingerprint_bytes(fp) for fp in fingerprints.values()}
+    if len(rendered) == 1 and all(tag in fingerprints
+                                  for tag in CHECKS[check].tags):
         return None
     return DifferentialMismatch(benchmark=benchmark, mode=mode,
-                                fingerprints=dict(fingerprints))
+                                fingerprints=dict(fingerprints), kind=check)
 
 
 def _check_ground_truth(definition: ModuleDefinition, bounds,
@@ -521,76 +489,99 @@ def _check_inferred_against_oracle(definition: ModuleDefinition,
             f"rejects (witness: {verdict.witnesses[0]})"))
 
 
+def _check_reference(definition: ModuleDefinition, mode: str,
+                     reference: Optional[dict],
+                     require_success: Sequence[str],
+                     oracles: Optional[Dict[str, Optional[Predicate]]],
+                     bounds, report: FuzzReport) -> None:
+    """Hold the cache matrix's reference run (``ec+pc``) to mode success and
+    the ground truth.
+
+    One run is enough: identical fingerprints mean an identical invariant,
+    and non-identical ones are already a mismatch.  ``oracles`` memoizes the
+    validated ground truth per benchmark; ``None`` skips the ground-truth
+    checks.
+    """
+    if reference is None:
+        return
+    if mode in require_success and reference["status"] != "success":
+        report.oracle_failures.append(OracleFailure(
+            definition.name, mode, VARIANT_NAMES[0],
+            f"expected success on a generated module, got "
+            f"{reference['status']!r}: {reference['message']}"))
+    if oracles is not None and reference["status"] == "success":
+        if definition.name not in oracles:
+            oracles[definition.name] = _check_ground_truth(
+                definition, bounds, report)
+        _check_inferred_against_oracle(
+            definition, oracles[definition.name], bounds, mode,
+            VARIANT_NAMES[0], reference["invariant"], report)
+
+
+# -- in-process sweeps -----------------------------------------------------------
+
+
+def _run_check(check: str, definition: ModuleDefinition, mode: str,
+               config: HanoiConfig, fault: Optional[FaultHook],
+               report: FuzzReport) -> Dict[str, dict]:
+    """Execute one check's runs of ``definition`` under ``mode``; returns
+    tag -> fingerprint, with any vacuity reason folded in."""
+    from ..experiments.runner import run_module
+
+    runs = CHECKS[check].runs(definition, config)
+    fingerprints: Dict[str, dict] = {}
+    result = None
+    while True:
+        try:
+            tag, candidate, run_config = runs.send(result)
+        except StopIteration as stop:
+            for tag, reason in (stop.value or {}).items():
+                fingerprints[tag] = dict(fingerprints[tag], vacuous=reason)
+            return fingerprints
+        result = run_module(candidate, mode=mode, config=run_config)
+        report.runs += 1
+        fingerprint = outcome_fingerprint(result)
+        if fault is not None:
+            fingerprint = fault(definition.name, mode, tag, fingerprint)
+        fingerprints[tag] = fingerprint
+
+
 def fuzz_module(definition: ModuleDefinition,
                 modes: Sequence[str] = DEFAULT_FUZZ_MODES,
                 config: Optional[HanoiConfig] = None,
                 require_success: Sequence[str] = ("hanoi",),
                 fault: Optional[FaultHook] = None,
                 check_oracle: bool = True,
-                check_canonical: bool = False,
-                check_verifier: bool = False,
-                check_persistence: bool = False) -> FuzzReport:
-    """Run one module through ``modes`` x cache variants, in process.
+                checks: Sequence[str] = ("cache",)) -> FuzzReport:
+    """Run one module through each of ``checks`` (:data:`CHECKS` names)
+    under each applicable mode, in process.
 
-    With ``check_canonical``, additionally re-run each mode on the
-    canonicalized module and require byte-identical outcomes (doubles the
-    per-mode work, so off by default).  With ``check_verifier``, re-run the
-    Hanoi modes under the ladder backend and cross-check the abstract
-    tier's proofs against the bounded tester (see
-    :func:`verifier_backend_mismatches` and
-    :func:`verifier_soundness_mismatches`).  With ``check_persistence``,
-    re-run the Hanoi modes against a cold, a warm, and a corrupted
-    persistent disk-cache store and require all four outcomes identical
-    (see :func:`persistent_cache_mismatches`)."""
-    from ..experiments.runner import quick_config, run_module
+    Mode success and the ground truth are checked on the ``cache`` check's
+    reference run, so they need ``"cache"`` among ``checks``."""
+    from ..experiments.runner import quick_config
 
     base = config or quick_config()
-    bounds = base.verifier_bounds
     report = FuzzReport(benchmarks=[definition.name])
-    oracle = _check_ground_truth(definition, bounds, report) if check_oracle else None
+    oracles: Optional[Dict[str, Optional[Predicate]]] = {} if check_oracle else None
     if fault is None:
         fault = _env_fault_hook({definition.name: definition})
 
-    for mode in modes:
-        fingerprints: Dict[str, dict] = {}
-        for variant in VARIANT_NAMES:
-            result = run_module(definition, mode=mode,
-                                config=variant_config(base, variant))
-            report.runs += 1
-            fingerprint = outcome_fingerprint(result)
-            if fault is not None:
-                fingerprint = fault(definition.name, mode, variant, fingerprint)
-            fingerprints[variant] = fingerprint
-            if mode in require_success and fingerprint["status"] != "success":
-                report.oracle_failures.append(OracleFailure(
-                    definition.name, mode, variant,
-                    f"expected success on a generated module, got "
-                    f"{fingerprint['status']!r}: {fingerprint['message']}"))
-            if check_oracle and fingerprint["status"] == "success":
-                # One variant is enough: identical fingerprints mean an
-                # identical invariant, and non-identical ones are already a
-                # mismatch.
-                if variant == VARIANT_NAMES[0]:
-                    _check_inferred_against_oracle(
-                        definition, oracle, bounds, mode, variant,
-                        fingerprint["invariant"], report)
-        mismatch = _diff_variants(definition.name, mode, fingerprints)
-        if mismatch is not None:
-            report.mismatches.append(mismatch)
-    if check_canonical:
-        report.mismatches.extend(
-            canonicalization_mismatches(definition, modes=modes, config=base))
-        report.runs += 2 * len(modes)
-    if check_verifier:
-        report.mismatches.extend(
-            verifier_backend_mismatches(definition, modes=modes, config=base))
-        report.runs += 2 * sum(1 for m in modes if m.startswith("hanoi"))
-        report.mismatches.extend(
-            verifier_soundness_mismatches(definition, config=base))
-    if check_persistence:
-        report.mismatches.extend(
-            persistent_cache_mismatches(definition, modes=modes, config=base))
-        report.runs += 4 * sum(1 for m in modes if m.startswith("hanoi"))
+    for name in checks:
+        check = CHECKS[name]
+        applicable = [mode for mode in modes if check.applies(mode)]
+        for mode in applicable:
+            fingerprints = _run_check(name, definition, mode, base, fault, report)
+            mismatch = _compare(name, definition.name, mode, fingerprints)
+            if mismatch is not None:
+                report.mismatches.append(mismatch)
+            if name == "cache":
+                _check_reference(definition, mode,
+                                 fingerprints.get(VARIANT_NAMES[0]),
+                                 require_success, oracles,
+                                 base.verifier_bounds, report)
+        if check.obligations is not None and applicable:
+            report.mismatches.extend(
+                check.obligations(definition, config=base, mode=applicable[0]))
     return report
 
 
@@ -600,8 +591,7 @@ def fuzz_corpus(definitions: Sequence[ModuleDefinition],
                 require_success: Sequence[str] = ("hanoi",),
                 fault: Optional[FaultHook] = None,
                 check_oracle: bool = True,
-                check_verifier: bool = False,
-                check_persistence: bool = False,
+                checks: Sequence[str] = ("cache",),
                 progress: Optional[Callable[[str, FuzzReport], None]] = None,
                 ) -> FuzzReport:
     """Run a corpus serially through :func:`fuzz_module`, merging reports.
@@ -614,9 +604,7 @@ def fuzz_corpus(definitions: Sequence[ModuleDefinition],
         definition = getattr(definition, "definition", definition)
         report = fuzz_module(definition, modes=modes, config=config,
                              require_success=require_success, fault=fault,
-                             check_oracle=check_oracle,
-                             check_verifier=check_verifier,
-                             check_persistence=check_persistence)
+                             check_oracle=check_oracle, checks=checks)
         total.merge(report)
         if progress is not None:
             progress(definition.name, report)
@@ -633,7 +621,7 @@ def compare_stored(results: Sequence[InferenceResult],
                    fault: Optional[FaultHook] = None,
                    check_oracle: bool = True,
                    config: Optional[HanoiConfig] = None) -> FuzzReport:
-    """Differential comparison over rows a :class:`ResultStore` persisted.
+    """The ``cache`` check over rows a :class:`ResultStore` persisted.
 
     This is the CLI path: the sweep itself ran through the parallel runner
     (each ``(benchmark, mode, variant)`` cell as one task), and the stored
@@ -642,7 +630,7 @@ def compare_stored(results: Sequence[InferenceResult],
     from ..experiments.runner import quick_config
 
     bounds = (config or quick_config()).verifier_bounds
-    report = FuzzReport(benchmarks=list(definitions))
+    report = FuzzReport(benchmarks=list(definitions), runs=len(results))
     if fault is None:
         fault = _env_fault_hook(definitions)
 
@@ -654,28 +642,14 @@ def compare_stored(results: Sequence[InferenceResult],
                                 result.variant or "", fingerprint)
         by_cell.setdefault((result.benchmark, result.mode), {})[
             result.variant or ""] = fingerprint
-    report.runs = len(results)
 
-    oracles: Dict[str, Optional[Predicate]] = {}
-    for name in definitions:
+    oracles: Optional[Dict[str, Optional[Predicate]]] = {} if check_oracle else None
+    for name, definition in definitions.items():
         for mode in modes:
             fingerprints = by_cell.get((name, mode), {})
-            mismatch = _diff_variants(name, mode, fingerprints)
+            mismatch = _compare("cache", name, mode, fingerprints)
             if mismatch is not None:
                 report.mismatches.append(mismatch)
-            reference = fingerprints.get(VARIANT_NAMES[0])
-            if reference is None:
-                continue
-            if mode in require_success and reference["status"] != "success":
-                report.oracle_failures.append(OracleFailure(
-                    name, mode, VARIANT_NAMES[0],
-                    f"expected success on a generated module, got "
-                    f"{reference['status']!r}: {reference['message']}"))
-            if check_oracle and reference["status"] == "success":
-                if name not in oracles:
-                    oracles[name] = _check_ground_truth(
-                        definitions[name], bounds, report)
-                _check_inferred_against_oracle(
-                    definitions[name], oracles[name], bounds, mode,
-                    VARIANT_NAMES[0], reference["invariant"], report)
+            _check_reference(definition, mode, fingerprints.get(VARIANT_NAMES[0]),
+                             require_success, oracles, bounds, report)
     return report

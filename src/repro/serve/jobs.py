@@ -312,39 +312,44 @@ class JobScheduler:
     def _finish(self, job: Job, handle: WorkerHandle, payload: dict) -> None:
         result = InferenceResult.from_dict(payload)
         self.store.append(result)
+        # Re-read so the row carries the store's pack tag, exactly what
+        # a later dedup lookup would return.
+        row = result.to_dict()
+        row.setdefault("pack", SERVICE_PACK_TAG)
+        self._retire(job, handle)
+        job.events.close()
+        # Published last: a reader that sees ``done`` also sees every event
+        # and a closed buffer.
         with self._lock:
-            entry = self._live.pop(job.id, None)
-            job.state = "done"
             job.finished_at = time.time()
             job.message = result.message
-            # Re-read so the row carries the store's pack tag, exactly what
-            # a later dedup lookup would return.
-            row = result.to_dict()
-            row.setdefault("pack", SERVICE_PACK_TAG)
             job.result = row
-        handle.reap()
-        if entry is not None:
-            self._drain(job.id, entry[1])
-        job.events.close()
+            job.state = "done"
 
     def _worker_died(self, job: Job, handle: WorkerHandle) -> None:
+        self._retire(job, handle)
+        retry = job.attempts <= self.max_retries
+        if not retry:
+            job.events.close()
         with self._lock:
-            entry = self._live.pop(job.id, None)
-            if job.attempts <= self.max_retries:
-                job.state = "queued"
+            if retry:
                 job.message = (f"worker died with exit code {handle.exitcode}; "
                                f"retry {job.attempts}/{self.max_retries}")
+                job.state = "queued"
                 self._queue.append(job.id)
             else:
-                job.state = "failed"
                 job.finished_at = time.time()
                 job.message = (f"worker died with exit code {handle.exitcode} "
                                f"after {job.attempts} attempts")
+                job.state = "failed"
+
+    def _retire(self, job: Job, handle: WorkerHandle) -> None:
+        """Reap a finished worker and drain its last events into the job."""
+        with self._lock:
+            entry = self._live.pop(job.id, None)
         handle.reap()
         if entry is not None:
             self._drain(job.id, entry[1])
-        if job.state == "failed":
-            job.events.close()
 
     # -- shutdown -----------------------------------------------------------
 

@@ -7,12 +7,8 @@ sufficiency and conditional inductiveness - through one small interface:
 
 * :class:`EnumerativeBackend` - the paper's behaviour, verbatim: every
   obligation goes to the bounded tester / checker.
-* :class:`AbstractBackend` - purely static: obligations are discharged by
-  the abstract interpreter (:mod:`repro.analysis.absint`); whatever it can
-  neither prove nor refute is *accepted*.  This is a deliberately unsound
-  diagnostic mode (the dual of the tester's unsoundness) for measuring the
-  static tier in isolation - not for producing trusted invariants.
-* :class:`LadderVerifier` - abstract first, enumeration for the rest.  A
+* :class:`LadderVerifier` - the abstract interpreter
+  (:mod:`repro.analysis.absint`) first, enumeration for the rest.  A
   statically ``PROVEN`` obligation skips enumeration outright (sound: the
   abstract semantics over-approximates every concrete execution, so no
   enumerated counterexample can exist).  A ``REFUTED`` or ``UNKNOWN``
@@ -44,7 +40,6 @@ __all__ = [
     "TRIVIAL",
     "VerifierBackend",
     "EnumerativeBackend",
-    "AbstractBackend",
     "LadderVerifier",
     "BACKEND_NAMES",
     "make_backend",
@@ -80,8 +75,16 @@ class EnumerativeBackend(VerifierBackend):
         return self.checker.check(p=p, q=q, p_pool=p_pool)
 
 
-class _StaticTier:
-    """Shared static-consultation machinery of the abstract-first backends."""
+class LadderVerifier(VerifierBackend):
+    """Abstract-first with enumerative fallback - the production ladder.
+
+    Sound with respect to the enumerative backend: it skips exactly the
+    obligations on which enumeration cannot find a counterexample, and runs
+    the enumerative rung on everything else in the original operation order,
+    so inference outcomes are identical (pinned by the verifier-diff tests).
+    """
+
+    name = "ladder"
 
     def __init__(self, instance, verifier, checker,
                  stats: Optional[InferenceStats] = None,
@@ -145,7 +148,7 @@ class _StaticTier:
                                   "operation": name}, cat="analysis")
             elif verdict in (REFUTED, UNKNOWN):
                 # A refutation is only *counted* once the enumerative rung
-                # confirms it with a concrete witness (see callers).
+                # confirms it with a concrete witness (`_record_refutation`).
                 self.stats.static_unknowns += 1
 
     def _record_refutation(self, result: CheckResult,
@@ -165,17 +168,7 @@ class _StaticTier:
         return self.emitter.span("static-check", {"obligation": obligation},
                                  cat="analysis")
 
-
-class LadderVerifier(_StaticTier, VerifierBackend):
-    """Abstract-first with enumerative fallback - the production ladder.
-
-    Sound with respect to the enumerative backend: it skips exactly the
-    obligations on which enumeration cannot find a counterexample, and runs
-    the enumerative rung on everything else in the original operation order,
-    so inference outcomes are identical (pinned by the verifier-diff tests).
-    """
-
-    name = "ladder"
+    # -- obligations ------------------------------------------------------------
 
     def check_sufficiency(self, candidate) -> CheckResult:
         if self.emitter.enabled:
@@ -208,47 +201,7 @@ class LadderVerifier(_StaticTier, VerifierBackend):
         return self._record_refutation(result, verdicts)
 
 
-class AbstractBackend(_StaticTier, VerifierBackend):
-    """The static tier alone: accepts every obligation it cannot refute.
-
-    ``REFUTED`` obligations are confirmed on the enumerative rung so the
-    loop still receives a *concrete* counterexample witness; ``UNKNOWN``
-    obligations are accepted outright.  Unsound by design - an ablation for
-    measuring what the abstract domains can and cannot see."""
-
-    name = "abstract"
-
-    def check_sufficiency(self, candidate) -> CheckResult:
-        if self.emitter.enabled:
-            with self._span("sufficiency"):
-                verdict = self.sufficiency_verdict()
-        else:
-            verdict = self.sufficiency_verdict()
-        self._record_sufficiency(verdict)
-        return VALID  # proven, or unknown-accepted; never refutable statically
-
-    def check_inductiveness(self, p, q, p_pool=None) -> CheckResult:
-        if self.emitter.enabled:
-            with self._span("inductiveness"):
-                verdicts = self.inductiveness_verdicts(q, p_pool)
-        else:
-            verdicts = self.inductiveness_verdicts(q, p_pool)
-        if verdicts is None:
-            return self.checker.check(p=p, q=q, p_pool=p_pool)
-        self._record_operations(verdicts)
-        refuted = tuple(
-            operation for operation in self.instance.operations
-            if verdicts.get(operation.name) == REFUTED
-        )
-        if not refuted:
-            return VALID
-        result = self.checker.check(p=p, q=q, p_pool=p_pool, operations=refuted)
-        if isinstance(result, InductivenessCounterexample):
-            return self._record_refutation(result, verdicts)
-        return VALID  # the bounded rung could not realize the refutation
-
-
-BACKEND_NAMES: Tuple[str, ...] = ("enumerative", "abstract", "ladder")
+BACKEND_NAMES: Tuple[str, ...] = ("enumerative", "ladder")
 
 
 def make_backend(name: str, *, instance, verifier, checker,
@@ -257,8 +210,6 @@ def make_backend(name: str, *, instance, verifier, checker,
     """Construct the backend selected by ``HanoiConfig.verifier_backend``."""
     if name == "enumerative":
         return EnumerativeBackend(verifier, checker)
-    if name == "abstract":
-        return AbstractBackend(instance, verifier, checker, stats, emitter)
     if name == "ladder":
         return LadderVerifier(instance, verifier, checker, stats, emitter)
     raise ValueError(

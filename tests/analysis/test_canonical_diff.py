@@ -9,9 +9,15 @@ synthesis caches.
 
 from repro.analysis.canon import canonical_hash
 from repro.core.hanoi import HanoiInference
-from repro.gen.diff import canonicalization_mismatches, fuzz_module
+from repro.gen.diff import fuzz_module
 from repro.gen.modgen import generate_module
 from repro.suite.registry import get_benchmark
+
+
+def canonicalization_mismatches(definition, config, **kwargs):
+    return fuzz_module(definition, config=config, require_success=(),
+                       check_oracle=False, checks=("canonical",),
+                       **kwargs).mismatches
 
 
 def test_canonicalization_transparent_on_benchmark(fast_config):
@@ -32,7 +38,7 @@ def test_fuzz_module_check_canonical_counts_runs(fast_config):
     definition = get_benchmark("/coq/unique-list-::-set")
     plain = fuzz_module(definition, modes=("hanoi",), config=fast_config)
     checked = fuzz_module(definition, modes=("hanoi",), config=fast_config,
-                          check_canonical=True)
+                          checks=("cache", "canonical"))
     assert checked.mismatches == []
     assert checked.runs == plain.runs + 2
 

@@ -6,13 +6,19 @@ import pytest
 
 from repro.core.config import FAST_VERIFIER_BOUNDS, HanoiConfig
 from repro.experiments.runner import run_module
-from repro.gen.diff import outcome_fingerprint, persistent_cache_mismatches
+from repro.gen.diff import fuzz_module, outcome_fingerprint
 from repro.gen.modgen import generate_corpus
 from repro.spec.loader import load_module_file, load_module_text
 
 CONFIG = HanoiConfig(verifier_bounds=FAST_VERIFIER_BOUNDS, timeout_seconds=60)
 EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                        "examples", "modules", "bounded-stack.hanoi")
+
+
+def persistent_cache_mismatches(definition):
+    return fuzz_module(definition, modes=("hanoi",), config=CONFIG,
+                       require_success=(), check_oracle=False,
+                       checks=("persistence",)).mismatches
 
 
 @pytest.fixture(scope="module")
@@ -106,12 +112,10 @@ def test_disabled_persistence_records_nothing(generated):
 @pytest.mark.fuzz
 def test_differential_check_passes_on_example_module():
     definition = load_module_file(EXAMPLE)
-    assert persistent_cache_mismatches(definition, modes=("hanoi",),
-                                       config=CONFIG) == []
+    assert persistent_cache_mismatches(definition) == []
 
 
 @pytest.mark.fuzz
 def test_differential_check_passes_on_generated_corpus():
     for module in generate_corpus(3, 3):
-        assert persistent_cache_mismatches(module.definition, modes=("hanoi",),
-                                           config=CONFIG) == []
+        assert persistent_cache_mismatches(module.definition) == []

@@ -15,7 +15,7 @@ from repro.verify.backend import BACKEND_NAMES, make_backend
 
 
 def test_backend_names_cover_the_config_surface():
-    assert BACKEND_NAMES == ("enumerative", "abstract", "ladder")
+    assert BACKEND_NAMES == ("enumerative", "ladder")
 
 
 def test_make_backend_rejects_unknown_names(listset_instance):
@@ -53,17 +53,6 @@ def test_enumerative_backend_keeps_static_counters_at_zero(listset_definition):
     assert result.stats.static_proofs == 0
     assert result.stats.static_refutations == 0
     assert result.stats.static_unknowns == 0
-
-
-def test_abstract_backend_is_the_documented_unsound_ablation(listset_definition):
-    """The static tier alone accepts UNKNOWN obligations, so it converges
-    on the trivial invariant immediately - useful as a diagnostic of what
-    the abstract domains alone can see, never as a sound verifier."""
-    config = quick_config().with_verifier_backend("abstract")
-    result = run_module(listset_definition, mode="hanoi", config=config)
-    assert result.succeeded
-    assert result.iterations == 1
-    assert "true" in result.render_invariant().lower()
 
 
 def test_ladder_emits_static_proof_events(listset_definition):
